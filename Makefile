@@ -29,7 +29,7 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
 
-# Re-run the batched-execution experiment against the committed baseline
+# Re-run the page-format experiment against the committed baseline
 # entry in results/dev/bench/data.js and fail on >15% regression of any
 # shared metric; skips with a notice when no baseline exists.
 bench-regression:

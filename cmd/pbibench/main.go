@@ -1,5 +1,5 @@
 // Command pbibench runs the paper's experiments (E1–E8), the ablations
-// (A1–A8), and the batched-execution comparison, and prints the
+// (A1–A8), and the page-format comparison, and prints the
 // corresponding tables and figure series.
 //
 // Usage:
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"time"
 
@@ -142,8 +143,8 @@ func commitInfo(exp string, cfg benchkit.Config) benchkit.BenchCommit {
 	if out, err := exec.Command("git", "log", "-1", "--format=%s").Output(); err == nil {
 		msg = strings.TrimSpace(string(out))
 	}
-	note := fmt.Sprintf("single-core run, exp=%s scale=%g docscale=%g buffer=%d pagesize=%d; elapsed = virtual disk time + wall CPU",
-		exp, cfg.Scale, cfg.DocScale, cfg.BufferPages, cfg.PageSize)
+	note := fmt.Sprintf("%d-core run, exp=%s scale=%g docscale=%g buffer=%d pagesize=%d; elapsed = virtual disk time + wall CPU",
+		runtime.NumCPU(), exp, cfg.Scale, cfg.DocScale, cfg.BufferPages, cfg.PageSize)
 	if msg != "" {
 		msg += " — "
 	}

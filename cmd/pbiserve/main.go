@@ -76,7 +76,6 @@ func main() {
 		diskcost  = flag.String("diskcost", "2003", "virtual disk cost model: 2003|none")
 		shards    = flag.Int("shards", 0, "serve a sharded store split by pbidb shard (0 = unsharded)")
 		parallel  = flag.Int("parallel", 0, "intra-query worker degree per engine (composes with -shards; 0/1 = serial)")
-		batch     = flag.Bool("batch", true, "columnar slab execution (=false falls back to record-at-a-time)")
 		timeout   = flag.Duration("timeout", 0, "per-query execution deadline, also the ?timeout= clamp (0 = none)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		accesslog = flag.String("accesslog", "", "write JSON request logs to this file (- = stdout)")
@@ -162,7 +161,6 @@ func main() {
 		QueryTimeout:  *timeout,
 		Shards:        *shards,
 		Parallel:      *parallel,
-		NoBatch:       !*batch,
 		Telemetry:     telw,
 		Ingest:        ist,
 		IngestBacklog: *ingestQueue,

@@ -10,7 +10,7 @@ import (
 )
 
 // loadFmt creates a relation from codes in the requested page format.
-// load always builds fixed-width pages; the batch equivalence matrix
+// load always builds fixed-width pages; the kernel equivalence matrix
 // needs both layouts.
 func loadFmt(t *testing.T, ctx *Context, name string, codes []pbicode.Code, compress bool) *relation.Relation {
 	t.Helper()
@@ -51,22 +51,22 @@ func regionJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	}))
 }
 
-// batchCase is one algorithm in the batch equivalence matrix. aFixed
-// pins the ancestor side to a single node height when >= 0 (SHCJ's
+// kernelCase is one algorithm in the slab-kernel equivalence matrix.
+// aFixed pins the ancestor side to a single node height when >= 0 (SHCJ's
 // required input shape); -1 draws multi-height codes.
-type batchCase struct {
+type kernelCase struct {
 	name   string
 	fn     joinFunc
 	aFixed int
 }
 
-// batchCases lists every join whose execution changes under the batch
-// flag: slab equijoins and hash partitioning (MHCJ, rollup, SHCJ),
-// VPJ's subtree routing, the region conversion, and the sort-backed
-// baseline whose inputs flow through extsort (which must preserve the
-// compressed page format across runs and merges).
-func batchCases() []batchCase {
-	return []batchCase{
+// kernelCases lists every join built on the slab kernels: equijoins and
+// hash partitioning (MHCJ, rollup, SHCJ), VPJ's subtree routing, the
+// region conversion, and the sort-backed baseline whose inputs flow
+// through extsort (which must preserve the compressed page format across
+// runs and merges).
+func kernelCases() []kernelCase {
+	return []kernelCase{
 		{"MHCJ", MHCJ, -1},
 		{"MHCJRollup", func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 0, s) }, -1},
 		{"VPJ", VPJ, -1},
@@ -76,13 +76,12 @@ func batchCases() []batchCase {
 	}
 }
 
-// runBatchMode evaluates fn over fresh relations in the given page
-// format, batch mode, and parallel degree, returning the emitted pairs.
-func runBatchMode(t *testing.T, label string, fn joinFunc, b, h, degree int, noBatch, compress bool, aCodes, dCodes []pbicode.Code) []Pair {
+// runKernel evaluates fn over fresh relations in the given page format
+// and parallel degree, returning the emitted pairs.
+func runKernel(t *testing.T, label string, fn joinFunc, b, h, degree int, compress bool, aCodes, dCodes []pbicode.Code) []Pair {
 	t.Helper()
 	ctx := newCtx(t, b, h)
 	ctx.Parallel = degree
-	ctx.NoBatch = noBatch
 	a := loadFmt(t, ctx, "A", aCodes, compress)
 	d := loadFmt(t, ctx, "D", dCodes, compress)
 	var sink PairSink
@@ -98,52 +97,47 @@ func runBatchMode(t *testing.T, label string, fn joinFunc, b, h, degree int, noB
 	return sink.Pairs
 }
 
-// TestBatchMatchesSerialRandom is the core batch equivalence property:
-// for random inputs in both page formats, the slab path (the default)
-// emits exactly the record-at-a-time result set, which in turn matches
-// the oracle. b=4 forces the grace/block equijoin paths (memory budget
-// of ~30 records); b=64 keeps the in-memory hash builds.
-func TestBatchMatchesSerialRandom(t *testing.T) {
+// TestKernelsMatchOracleRandom is the core slab-kernel equivalence
+// property: for random inputs in both page formats, every kernelCases
+// join emits exactly the oracle's result set. b=4 forces the grace/block
+// equijoin paths (memory budget of ~30 records); b=64 keeps the
+// in-memory hash builds.
+func TestKernelsMatchOracleRandom(t *testing.T) {
 	const h = 12
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		na, nd := 300+rng.Intn(400), 300+rng.Intn(500)
 		dCodes := randCodes(rng, nd, h, -1)
-		for _, tc := range batchCases() {
+		for _, tc := range kernelCases() {
 			aCodes := randCodes(rng, na, h, tc.aFixed)
 			want := oracle(aCodes, dCodes)
 			for _, compress := range []bool{false, true} {
 				for _, b := range []int{4, 64} {
 					label := fmt.Sprintf("%s(b=%d compress=%v)", tc.name, b, compress)
-					serial := runBatchMode(t, label+"/serial", tc.fn, b, h, 0, true, compress, aCodes, dCodes)
-					batch := runBatchMode(t, label+"/batch", tc.fn, b, h, 0, false, compress, aCodes, dCodes)
-					samePairs(t, label+"/serial-vs-oracle", serial, want)
-					samePairs(t, label+"/batch-vs-serial", batch, serial)
+					samePairs(t, label, runKernel(t, label, tc.fn, b, h, 0, compress, aCodes, dCodes), want)
 				}
 			}
 		}
 	}
 }
 
-// TestBatchMatchesSerialParallel crosses the batch path with the
-// parallel fan-out at degrees 1, 2, and 8 in both page formats: worker
-// contexts must inherit the batch flag and temp partitions the workers
-// scan must carry the input's format. The baseline is the serial
-// record-at-a-time run, so a bug in either axis shows up.
-func TestBatchMatchesSerialParallel(t *testing.T) {
+// TestKernelsMatchOracleParallel crosses the slab kernels with the
+// parallel fan-out at degrees 1, 2, and 8 in both page formats: temp
+// partitions the workers scan must carry the input's format, and every
+// degree must emit exactly the oracle's result set.
+func TestKernelsMatchOracleParallel(t *testing.T) {
 	const h = 12
 	for seed := int64(0); seed < 2; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		na, nd := 500+rng.Intn(400), 500+rng.Intn(500)
 		dCodes := randCodes(rng, nd, h, -1)
-		for _, tc := range batchCases() {
+		for _, tc := range kernelCases() {
 			aCodes := randCodes(rng, na, h, tc.aFixed)
+			want := oracle(aCodes, dCodes)
 			for _, compress := range []bool{false, true} {
-				want := runBatchMode(t, tc.name+"/serial", tc.fn, 24, h, 0, true, compress, aCodes, dCodes)
 				for _, degree := range []int{1, 2, 8} {
 					label := fmt.Sprintf("%s(parallel=%d compress=%v)", tc.name, degree, compress)
-					got := runBatchMode(t, label, tc.fn, 24, h, degree, false, compress, aCodes, dCodes)
-					samePairs(t, label, got, want)
+					samePairs(t, label, runKernel(t, label, tc.fn, 24, h, degree, compress, aCodes, dCodes), want)
 				}
 			}
 		}

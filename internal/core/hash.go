@@ -34,56 +34,6 @@ func splitmix64(x uint64) uint64 {
 // original code.
 type aPrep func(relation.Rec) relation.Rec
 
-// hashTable is a chained hash table over an arena: one map entry per
-// distinct key plus two flat slices, instead of a []Rec per key. In-memory
-// join builds over ~100k records allocate a handful of slices rather than
-// tens of thousands of buckets.
-type hashTable struct {
-	head map[pbicode.Code]int32 // key -> 1-based index of the newest entry
-	recs []relation.Rec
-	next []int32 // 1-based index of the previous entry with the same key
-}
-
-func newHashTable(capacity int64) *hashTable {
-	if capacity < 0 || capacity > 1<<30 {
-		capacity = 0
-	}
-	return &hashTable{
-		head: make(map[pbicode.Code]int32, capacity),
-		recs: make([]relation.Rec, 0, capacity),
-		next: make([]int32, 0, capacity),
-	}
-}
-
-// add stores r under key.
-func (t *hashTable) add(key pbicode.Code, r relation.Rec) {
-	t.recs = append(t.recs, r)
-	t.next = append(t.next, t.head[key])
-	t.head[key] = int32(len(t.recs))
-}
-
-// each calls fn for every record stored under key, newest first.
-func (t *hashTable) each(key pbicode.Code, fn func(relation.Rec) error) error {
-	for i := t.head[key]; i != 0; i = t.next[i-1] {
-		if err := fn(t.recs[i-1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// len returns the number of stored records.
-func (t *hashTable) len() int { return len(t.recs) }
-
-// dKey returns the equijoin key of a descendant record for ancestor height
-// h, and whether the record can participate at all (it must lie below h).
-func dKey(d relation.Rec, h int) (pbicode.Code, bool) {
-	if d.Code.Height() >= h {
-		return 0, false
-	}
-	return pbicode.F(d.Code, h), true
-}
-
 // equiJoin evaluates A ⋈_{prep(A).Code = F(D.Code, h)} D into sink. All
 // useful matches have ancestor-side height exactly h (callers arrange
 // this: SHCJ's A is single-height; rollup preps codes to height h).
@@ -105,74 +55,72 @@ func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sin
 	}
 }
 
-// hashJoinBuildA builds the table on the ancestor side and streams D.
+// hashJoinBuildA builds the table on the ancestor side and streams D page
+// slabs, deriving each probe key branch-free.
 func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=A")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return hashJoinBuildABatch(ctx, a, d, h, prep, sink)
-	}
-	table := newHashTable(a.NumRecords())
-	as := a.Scan()
-	defer as.Close()
+	table := newFlatTable(a.NumRecords())
+	as := a.BatchScan()
 	for as.Next() {
-		r := as.Rec()
-		if prep != nil {
-			r = prep(r)
+		codes, aux := as.Codes(), as.Aux()
+		if prep == nil {
+			for i, c := range codes {
+				table.add(c, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			}
+		} else {
+			for i, c := range codes {
+				r := prep(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+				table.add(uint64(r.Code), r)
+			}
 		}
-		table.add(r.Code, r)
 	}
 	if err := as.Err(); err != nil {
 		return err
 	}
-	ds := d.Scan()
-	defer ds.Close()
+	ds := d.BatchScan()
 	for ds.Next() {
-		dr := ds.Rec()
-		key, ok := dKey(dr, h)
-		if !ok {
-			continue
-		}
-		if err := table.each(key, func(ar relation.Rec) error {
-			return sink.Emit(ar, dr)
-		}); err != nil {
+		if err := table.probeD(ds.Codes(), ds.Aux(), h, sink); err != nil {
 			return err
 		}
 	}
 	return ds.Err()
 }
 
-// hashJoinBuildD builds the table on the descendant side (keyed by the
-// derived F code) and streams A.
+// hashJoinBuildD builds the table on the descendant side, keyed by the
+// FBatch-derived codes of eligible D records, and streams (prepped) A.
 func hashJoinBuildD(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=D")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return hashJoinBuildDBatch(ctx, a, d, h, prep, sink)
-	}
-	table := newHashTable(d.NumRecords())
-	ds := d.Scan()
-	defer ds.Close()
+	table := newFlatTable(d.NumRecords())
+	_, _, low := fMask(h)
+	var fkeys []uint64
+	ds := d.BatchScan()
 	for ds.Next() {
-		dr := ds.Rec()
-		if key, ok := dKey(dr, h); ok {
-			table.add(key, dr)
+		codes, aux := ds.Codes(), ds.Aux()
+		fkeys = fBatch(fkeys, codes, h)
+		for i, c := range codes {
+			if c&low != 0 {
+				table.add(fkeys[i], relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			}
 		}
 	}
 	if err := ds.Err(); err != nil {
 		return err
 	}
-	as := a.Scan()
-	defer as.Close()
+	as := a.BatchScan()
 	for as.Next() {
-		ar := as.Rec()
-		if prep != nil {
-			ar = prep(ar)
-		}
-		if err := table.each(ar.Code, func(dr relation.Rec) error {
-			return sink.Emit(ar, dr)
-		}); err != nil {
-			return err
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			ar := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+			if prep != nil {
+				ar = prep(ar)
+			}
+			for idx := table.probe(uint64(ar.Code)); idx != 0; idx = table.next[idx-1] {
+				if err := sink.Emit(ar, table.recs[idx-1]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return as.Err()
@@ -200,31 +148,39 @@ func graceJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Si
 	}
 
 	psp := ctx.Trace.StartDetail("grace-partition", fmt.Sprintf("k=%d depth=%d", k, depth))
-	var aParts []*relation.Relation
-	var err error
-	if ctx.batch() {
-		aParts, err = hashPartitionBatchA(ctx, a, k, "ha", prep, salt)
-	} else {
-		aParts, err = hashPartition(ctx, a, k, "ha", func(r relation.Rec) (relation.Rec, uint64, bool) {
+	// Ancestor side: every record is kept, keyed by its (prepped) code.
+	aParts, err := hashPartition(ctx, a, k, "ha", salt, func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error {
+		for i, c := range codes {
+			r := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
 			if prep != nil {
 				r = prep(r)
 			}
-			return r, uint64(r.Code), true
-		}, salt)
-	}
+			if err := emit(r, uint64(r.Code)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		ctx.Trace.End(psp)
 		return err
 	}
-	var dParts []*relation.Relation
-	if ctx.batch() {
-		dParts, err = hashPartitionBatchD(ctx, d, k, "hd", h, salt)
-	} else {
-		dParts, err = hashPartition(ctx, d, k, "hd", func(r relation.Rec) (relation.Rec, uint64, bool) {
-			key, ok := dKey(r, h)
-			return r, uint64(key), ok
-		}, salt)
-	}
+	// Descendant side: eligible records (height below h), keyed by their
+	// FBatch-derived join code.
+	_, _, low := fMask(h)
+	var fkeys []uint64
+	dParts, err := hashPartition(ctx, d, k, "hd", salt, func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error {
+		fkeys = fBatch(fkeys, codes, h)
+		for i, c := range codes {
+			if c&low == 0 {
+				continue
+			}
+			if err := emit(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}, fkeys[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	ctx.Trace.End(psp)
 	if err != nil {
 		freeAll(aParts)
@@ -257,10 +213,11 @@ func graceJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Si
 }
 
 // hashPartition splits rel into k partition relations by hash(key) and
-// returns them. The prep function maps each scanned record to the record
-// to store, its hash key, and whether to keep it at all. Appenders are
-// opened lazily so empty partitions cost nothing.
-func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, prep func(relation.Rec) (relation.Rec, uint64, bool), salt uint64) ([]*relation.Relation, error) {
+// returns them. page is called once per page slab with an emit that
+// routes one kept record by its hash key. Appenders are opened lazily so
+// empty partitions cost nothing; partitions inherit the input's page
+// format.
+func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, salt uint64, page func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error) ([]*relation.Relation, error) {
 	parts := make([]*relation.Relation, k)
 	apps := make([]*relation.Appender, k)
 	for i := range parts {
@@ -285,19 +242,17 @@ func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, pre
 		freeAll(parts)
 		return nil, err
 	}
-	s := rel.Scan()
-	defer s.Close()
-	for s.Next() {
-		r, kv, ok := prep(s.Rec())
-		if !ok {
-			continue
-		}
+	emit := func(r relation.Rec, kv uint64) error {
 		i := int(splitmix64(kv^salt) % uint64(k))
 		if apps[i] == nil {
 			apps[i] = parts[i].NewAppender()
 			ctx.stats().Partitions++
 		}
-		if err := apps[i].Append(r); err != nil {
+		return apps[i].Append(r)
+	}
+	s := rel.BatchScan()
+	for s.Next() {
+		if err := page(s.Codes(), s.Aux(), emit); err != nil {
 			return fail(err)
 		}
 	}
@@ -321,51 +276,43 @@ func freeAll(parts []*relation.Relation) {
 }
 
 // blockEquiJoin is the terminal fallback: hash chunks of A in memory and
-// rescan D per chunk.
+// rescan D per chunk through one resettable batch scanner.
 func blockEquiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.Start("block-join")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return blockEquiJoinBatch(ctx, a, d, h, prep, sink)
-	}
 	chunkCap := ctx.memRecs(ctx.b() - 2)
 	if chunkCap < 1 {
 		chunkCap = 1
 	}
-	table := newHashTable(int64(chunkCap))
+	table := newFlatTable(int64(chunkCap))
+	var ds relation.BatchScanner
 	join := func() error {
 		if table.len() == 0 {
 			return nil
 		}
-		ds := d.Scan()
-		defer ds.Close()
+		ds.Reset(d)
 		for ds.Next() {
-			dr := ds.Rec()
-			key, ok := dKey(dr, h)
-			if !ok {
-				continue
-			}
-			if err := table.each(key, func(ar relation.Rec) error {
-				return sink.Emit(ar, dr)
-			}); err != nil {
+			if err := table.probeD(ds.Codes(), ds.Aux(), h, sink); err != nil {
 				return err
 			}
 		}
 		return ds.Err()
 	}
-	as := a.Scan()
-	defer as.Close()
+	as := a.BatchScan()
 	for as.Next() {
-		r := as.Rec()
-		if prep != nil {
-			r = prep(r)
-		}
-		table.add(r.Code, r)
-		if table.len() == chunkCap {
-			if err := join(); err != nil {
-				return err
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			r := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+			if prep != nil {
+				r = prep(r)
 			}
-			table = newHashTable(int64(chunkCap))
+			table.add(uint64(r.Code), r)
+			if table.len() == chunkCap {
+				if err := join(); err != nil {
+					return err
+				}
+				table.reset()
+			}
 		}
 	}
 	if err := as.Err(); err != nil {

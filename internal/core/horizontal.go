@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
@@ -48,14 +49,7 @@ func MHCJ(ctx *Context, a, d *relation.Relation, sink Sink) error {
 
 func mhcj(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	psp := ctx.Trace.Start("partition")
-	var parts map[int]*relation.Relation
-	var heights []int
-	var err error
-	if ctx.batch() {
-		parts, heights, err = partitionByHeightBatch(ctx, a)
-	} else {
-		parts, heights, err = partitionByHeight(ctx, a)
-	}
+	parts, heights, err := partitionByHeight(ctx, a)
 	if psp != nil {
 		psp.Detail = fmt.Sprintf("heights=%d", len(heights))
 	}
@@ -118,6 +112,7 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 			p.Free() //nolint:errcheck // cleanup after earlier error
 		}
 	}
+	var s relation.BatchScanner
 	for {
 		apps := make(map[int]*relation.Appender)
 		closeApps := func() error {
@@ -130,33 +125,33 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 			return first
 		}
 		deferred := false
-		s := rel.Scan()
+		s.Reset(rel)
 		for s.Next() {
-			r := s.Rec()
-			h := r.Code.Height()
-			if done[h] {
-				continue
-			}
-			ap, ok := apps[h]
-			if !ok {
-				if len(apps)+2 > ctx.b() {
-					deferred = true // another wave picks this height up
+			codes, aux := s.Codes(), s.Aux()
+			for i, c := range codes {
+				h := bits.TrailingZeros64(c)
+				if done[h] {
 					continue
 				}
-				parts[h] = relation.New(ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
-				parts[h].SetCompress(rel.Compressed())
-				ap = parts[h].NewAppender()
-				apps[h] = ap
-				ctx.stats().Partitions++
-			}
-			if err := ap.Append(r); err != nil {
-				s.Close()
-				closeApps() //nolint:errcheck // first error wins
-				freeParts()
-				return nil, nil, err
+				ap, ok := apps[h]
+				if !ok {
+					if len(apps)+2 > ctx.b() {
+						deferred = true // another wave picks this height up
+						continue
+					}
+					parts[h] = relation.New(ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
+					parts[h].SetCompress(rel.Compressed())
+					ap = parts[h].NewAppender()
+					apps[h] = ap
+					ctx.stats().Partitions++
+				}
+				if err := ap.Append(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}); err != nil {
+					closeApps() //nolint:errcheck // first error wins
+					freeParts()
+					return nil, nil, err
+				}
 			}
 		}
-		s.Close()
 		if err := s.Err(); err != nil {
 			closeApps() //nolint:errcheck // first error wins
 			freeParts()
@@ -178,11 +173,7 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 		heights = append(heights, h)
 	}
 	// Ascending heights; order does not affect the result set.
-	for i := 1; i < len(heights); i++ {
-		for j := i; j > 0 && heights[j] < heights[j-1]; j-- {
-			heights[j], heights[j-1] = heights[j-1], heights[j]
-		}
-	}
+	sort.Ints(heights)
 	return parts, heights, nil
 }
 
@@ -240,13 +231,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	if targetH <= 0 || knownMax == 0 {
 		if knownMax == 0 {
 			hsp := ctx.Trace.Start("height-scan")
-			var hist map[int]int64
-			var err error
-			if ctx.batch() {
-				hist, err = heightHistogramBatch(a)
-			} else {
-				hist, err = HeightHistogram(a)
-			}
+			hist, err := HeightHistogram(a)
 			ctx.Trace.End(hsp)
 			if err != nil {
 				return err
@@ -329,48 +314,28 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 }
 
 // rollupSplit scans a once, routing records above targetH (with Aux set
-// to their own code) to hApp and everything else, rolled up, to rApp. The
-// batch path derives heights from slab TrailingZeros and rolls up with
-// the branch-free F constants; the serial path is the reference loop.
+// to their own code) to hApp and everything else, rolled up with the
+// branch-free F constants, to rApp. Aux of the input is not read: like
+// rollPrep, the output Aux carries the original code for the
+// verification filter.
 func rollupSplit(ctx *Context, a *relation.Relation, targetH int, rApp, hApp *relation.Appender) error {
-	if ctx.batch() {
-		mask := ^uint64(0) << (uint(targetH) + 1)
-		bit := uint64(1) << uint(targetH)
-		s := a.BatchScan()
-		for s.Next() {
-			// Aux of the input is not read: rollPrep (and this loop) set the
-			// output Aux to the original code for the verification filter.
-			for _, c := range s.Codes() {
-				var err error
-				if bits.TrailingZeros64(c) > targetH {
-					err = hApp.Append(relation.Rec{Code: pbicode.Code(c), Aux: c})
-				} else {
-					rolled := c
-					if c&(bit-1) != 0 { // height below target: roll up
-						rolled = c&mask | bit
-					}
-					err = rApp.Append(relation.Rec{Code: pbicode.Code(rolled), Aux: c})
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return s.Err()
-	}
-	prep := rollPrep(targetH)
-	s := a.Scan()
-	defer s.Close()
+	mask, bit, low := fMask(targetH)
+	s := a.BatchScan()
 	for s.Next() {
-		r := s.Rec()
-		var err error
-		if r.Code.Height() > targetH {
-			err = hApp.Append(relation.Rec{Code: r.Code, Aux: uint64(r.Code)})
-		} else {
-			err = rApp.Append(prep(r))
-		}
-		if err != nil {
-			return err
+		for _, c := range s.Codes() {
+			var err error
+			if bits.TrailingZeros64(c) > targetH {
+				err = hApp.Append(relation.Rec{Code: pbicode.Code(c), Aux: c})
+			} else {
+				rolled := c
+				if c&low != 0 { // height below target: roll up
+					rolled = c&mask | bit
+				}
+				err = rApp.Append(relation.Rec{Code: pbicode.Code(rolled), Aux: c})
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return s.Err()
@@ -382,38 +347,42 @@ func rollupSplit(ctx *Context, a *relation.Relation, targetH int, rApp, hApp *re
 // join only PBiTree codes make possible (each probe key is computed from
 // the descendant's code alone). Results are exact; no verification needed.
 func multiHeightProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	if ctx.batch() {
-		return multiHeightProbeJoinBatch(ctx, a, d, sink)
-	}
-	table := newHashTable(a.NumRecords())
+	table := newFlatTable(a.NumRecords())
 	heightSet := make(map[int]struct{})
-	s := a.Scan()
-	for s.Next() {
-		r := s.Rec()
-		table.add(r.Code, r)
-		heightSet[r.Code.Height()] = struct{}{}
+	as := a.BatchScan()
+	for as.Next() {
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			table.add(c, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			heightSet[bits.TrailingZeros64(c)] = struct{}{}
+		}
 	}
-	s.Close()
-	if err := s.Err(); err != nil {
+	if err := as.Err(); err != nil {
 		return err
 	}
-	heights := make([]int, 0, len(heightSet))
+	masks := make([][3]uint64, 0, len(heightSet))
 	for h := range heightSet {
-		heights = append(heights, h)
+		m, b, low := fMask(h)
+		masks = append(masks, [3]uint64{m, b, low})
 	}
-	ds := d.Scan()
-	defer ds.Close()
+	ds := d.BatchScan()
 	for ds.Next() {
-		dr := ds.Rec()
-		hd := dr.Code.Height()
-		for _, h := range heights {
-			if h <= hd {
-				continue
-			}
-			if err := table.each(pbicode.F(dr.Code, h), func(ar relation.Rec) error {
-				return sink.Emit(ar, dr)
-			}); err != nil {
-				return err
+		codes, aux := ds.Codes(), ds.Aux()
+		for i, c := range codes {
+			for _, mb := range masks {
+				if c&mb[2] == 0 {
+					continue // descendant at or above this ancestor height
+				}
+				idx := table.probe(c&mb[0] | mb[1])
+				if idx == 0 {
+					continue
+				}
+				dr := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+				for ; idx != 0; idx = table.next[idx-1] {
+					if err := sink.Emit(table.recs[idx-1], dr); err != nil {
+						return err
+					}
+				}
 			}
 		}
 	}

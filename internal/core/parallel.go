@@ -142,7 +142,6 @@ func (c *Context) runParallel(degree, n int, span string, detail func(i int) str
 					TreeHeight:        c.TreeHeight,
 					MaxAncestorHeight: c.MaxAncestorHeight,
 					VPJRootCut:        c.VPJRootCut,
-					NoBatch:           c.NoBatch,
 					Stats:             stats,
 					Ctx:               runCtx,
 					Parallel:          1,

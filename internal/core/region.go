@@ -29,41 +29,24 @@ func ToRegionRelation(ctx *Context, rel *relation.Relation, name string) (*relat
 		out.Free()  //nolint:errcheck // cleanup after earlier error
 		return nil, err
 	}
-	if ctx.batch() {
-		var starts, ends []uint64
-		bs := rel.BatchScan()
-		for bs.Next() {
-			codes := bs.Codes()
-			if cap(starts) < len(codes) {
-				starts = make([]uint64, len(codes))
-				ends = make([]uint64, len(codes))
-			}
-			starts, ends = starts[:len(codes)], ends[:len(codes)]
-			pbicode.RegionBatch(starts, ends, codes)
-			for i := range codes {
-				if err := app.Append(relation.Rec{Code: pbicode.Code(starts[i]), Aux: ends[i]}); err != nil {
-					return fail(err)
-				}
-			}
+	var starts, ends []uint64
+	bs := rel.BatchScan()
+	for bs.Next() {
+		codes := bs.Codes()
+		if cap(starts) < len(codes) {
+			starts = make([]uint64, len(codes))
+			ends = make([]uint64, len(codes))
 		}
-		if err := bs.Err(); err != nil {
-			return fail(err)
-		}
-	} else {
-		s := rel.Scan()
-		defer s.Close()
-		for s.Next() {
-			r := s.Rec()
-			if err := app.Append(relation.Rec{
-				Code: pbicode.Code(r.Code.Start()),
-				Aux:  r.Code.End(),
-			}); err != nil {
+		starts, ends = starts[:len(codes)], ends[:len(codes)]
+		pbicode.RegionBatch(starts, ends, codes)
+		for i := range codes {
+			if err := app.Append(relation.Rec{Code: pbicode.Code(starts[i]), Aux: ends[i]}); err != nil {
 				return fail(err)
 			}
 		}
-		if err := s.Err(); err != nil {
-			return fail(err)
-		}
+	}
+	if err := bs.Err(); err != nil {
+		return fail(err)
 	}
 	if err := app.Close(); err != nil {
 		out.Free() //nolint:errcheck // cleanup after earlier error

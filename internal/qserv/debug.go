@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/servekit"
 )
 
 // This file implements GET /debug/trace: run one query uncached with
@@ -58,7 +59,7 @@ func (s *Server) handleDebugTraceID(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no retained trace %q (evicted or never recorded)", id)
 		return
 	}
-	writeJSON(w, mustJSON(rec))
+	writeJSON(w, servekit.MustJSON(rec))
 }
 
 // handleDebugTrace serves GET /debug/trace.
@@ -137,7 +138,7 @@ func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, anc, desc, al
 	s.met.recordJoin(an.Result)
 	s.met.recordPhases(an.Result.Algorithm, an.Phases, traceID)
 	s.keepTrace(traceID, "//"+anc+"//"+desc, an)
-	writeJSON(w, mustJSON(traceResponse{
+	writeJSON(w, servekit.MustJSON(traceResponse{
 		TraceID: w.Header().Get("X-Trace-Id"),
 		Query:   "//" + anc + "//" + desc,
 		Joins:   []traceSpanSet{spanSet(anc, desc, an)},
@@ -199,5 +200,5 @@ func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, expr string)
 		resp.Joins = append(resp.Joins, set)
 	}
 	s.keepTrace(resp.TraceID, canon, analyses...)
-	writeJSON(w, mustJSON(resp))
+	writeJSON(w, servekit.MustJSON(resp))
 }

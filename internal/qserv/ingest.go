@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"github.com/pbitree/pbitree/internal/ingest"
+	"github.com/pbitree/pbitree/internal/servekit"
 )
 
 // This file is the serving tier's side of the live ingest subsystem
@@ -179,7 +180,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ing.requests.Add(1)
 	s.stampEpoch(w, res.Epoch)
-	writeJSON(w, mustJSON(res))
+	writeJSON(w, servekit.MustJSON(res))
 }
 
 // EpochsResponse is the GET /epochs payload.
@@ -211,7 +212,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		Stats:       s.ing.store.Stats(),
 		WorkerSwaps: s.ing.swaps.Load(),
 	}
-	writeJSON(w, mustJSON(resp))
+	writeJSON(w, servekit.MustJSON(resp))
 }
 
 // ingestStatsBlock is the /stats ingest block: the store's own snapshot

@@ -7,20 +7,13 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/servekit"
 )
 
 // latWindow is the number of most recent request latencies retained for
 // percentile estimation. A fixed ring keeps the cost per request O(1) and
 // the estimate representative of current load rather than all of history.
 const latWindow = 8192
-
-// latBuckets are the cumulative histogram bounds (seconds) /metrics
-// exports for request latency: log-spaced from 100µs to 10s, covering
-// cache hits through multi-pass joins on the virtual disk.
-var latBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 // metrics aggregates everything /stats reports: request counters, a
 // sliding latency window, and per-algorithm physical-cost totals summed
@@ -45,16 +38,16 @@ type metrics struct {
 	n    int // samples in ring (≤ latWindow)
 	next int // ring write position
 
-	// hist counts latencies per latBuckets bound (non-cumulative; the
+	// hist counts latencies per servekit.LatBuckets bound (non-cumulative; the
 	// Prometheus writer accumulates), histSum / histCount the running sum
 	// and count over all of history.
-	hist      []int64 // len(latBuckets)+1; last slot = +Inf overflow
+	hist      []int64 // len(servekit.LatBuckets)+1; last slot = +Inf overflow
 	histSum   time.Duration
 	histCount int64
 	// histEx holds each bucket's most recent observation with the trace ID
 	// that produced it — the exemplars the OpenMetrics exposition attaches
 	// so a latency outlier links straight to its distributed trace.
-	histEx []exemplar // len(latBuckets)+1, aligned with hist
+	histEx []exemplar // len(servekit.LatBuckets)+1, aligned with hist
 
 	algs   map[string]*algTotals
 	phases map[phaseKey]*phaseTotals
@@ -111,8 +104,8 @@ type algSnapshot struct {
 func newMetrics() *metrics {
 	return &metrics{
 		start:  time.Now(),
-		hist:   make([]int64, len(latBuckets)+1),
-		histEx: make([]exemplar, len(latBuckets)+1),
+		hist:   make([]int64, len(servekit.LatBuckets)+1),
+		histEx: make([]exemplar, len(servekit.LatBuckets)+1),
 		algs:   map[string]*algTotals{},
 		phases: map[phaseKey]*phaseTotals{},
 	}
@@ -128,19 +121,12 @@ func (m *metrics) observe(d time.Duration, traceID string) {
 	if m.n < latWindow {
 		m.n++
 	}
-	sec := d.Seconds()
-	slot := len(latBuckets) // +Inf
-	for i, bound := range latBuckets {
-		if sec <= bound {
-			slot = i
-			break
-		}
-	}
+	slot := servekit.Bucket(d)
 	m.hist[slot]++
 	m.histSum += d
 	m.histCount++
 	if traceID != "" {
-		m.histEx[slot] = exemplar{TraceID: traceID, Value: sec}
+		m.histEx[slot] = exemplar{TraceID: traceID, Value: d.Seconds()}
 	}
 	m.mu.Unlock()
 }
@@ -186,47 +172,15 @@ func (m *metrics) recordJoin(res *containment.Result) {
 	m.mu.Unlock()
 }
 
-// latencyStats is the /stats latency block (microseconds).
-type latencyStats struct {
-	Samples int   `json:"samples"`
-	P50US   int64 `json:"p50_us"`
-	P95US   int64 `json:"p95_us"`
-	P99US   int64 `json:"p99_us"`
-	MaxUS   int64 `json:"max_us"`
-}
-
-// percentile returns the p-quantile (0 < p ≤ 1) of a sorted sample using
-// the nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 // latencySnapshot sorts a copy of the current window and extracts the
 // reported percentiles.
-func (m *metrics) latencySnapshot() latencyStats {
+func (m *metrics) latencySnapshot() servekit.LatencyStats {
 	m.mu.Lock()
 	sample := make([]time.Duration, m.n)
 	copy(sample, m.ring[:m.n])
 	m.mu.Unlock()
 	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	s := latencyStats{Samples: len(sample)}
-	if len(sample) > 0 {
-		s.P50US = percentile(sample, 0.50).Microseconds()
-		s.P95US = percentile(sample, 0.95).Microseconds()
-		s.P99US = percentile(sample, 0.99).Microseconds()
-		s.MaxUS = sample[len(sample)-1].Microseconds()
-	}
-	return s
+	return servekit.Latency(sample)
 }
 
 // algSnapshots converts the per-algorithm totals for JSON.

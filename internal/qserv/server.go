@@ -44,6 +44,7 @@ import (
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/ingest"
+	"github.com/pbitree/pbitree/internal/servekit"
 	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
@@ -72,10 +73,6 @@ type Config struct {
 	// applies per shard engine, so a single query can occupy up to
 	// Shards x Parallel goroutines. 0 or 1 keeps queries serial.
 	Parallel int
-	// NoBatch forces every worker engine onto the record-at-a-time
-	// execution path (containment.Config.NoBatch); off means the default
-	// columnar slab kernels.
-	NoBatch bool
 	// DiskCost models the virtual disk each worker charges (stats only;
 	// no real delays). The zero value disables the clock.
 	DiskCost containment.DiskCost
@@ -176,7 +173,7 @@ type Server struct {
 	all      []worker
 	workers  chan worker
 	admit    chan struct{}
-	cache    *resultCache // nil when disabled
+	cache    *servekit.Cache // nil when disabled
 	met      *metrics
 	traces   *trace.Store // recent query traces for /debug/trace/{id}
 	mux      *http.ServeMux
@@ -235,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Ingest.SetOnPublish(s.ing.adopt)
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheEntries)
+		s.cache = servekit.NewCache(cfg.CacheEntries)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		wk, err := s.openWorker()
@@ -296,7 +293,6 @@ func (s *Server) openWorker() (worker, error) {
 			BufferPages:    s.cfg.BufferPages,
 			DiskCost:       s.cfg.DiskCost,
 			EngineParallel: s.cfg.Parallel,
-			EngineNoBatch:  s.cfg.NoBatch,
 		})
 		if err != nil {
 			return nil, err
@@ -321,7 +317,6 @@ func (s *Server) openWorker() (worker, error) {
 		BufferPages: s.cfg.BufferPages,
 		DiskCost:    s.cfg.DiskCost,
 		Parallel:    s.cfg.Parallel,
-		NoBatch:     s.cfg.NoBatch,
 	})
 	if err != nil {
 		return nil, err
@@ -889,12 +884,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			resp.Spans = ws[0]
 		}
 	}
-	payload := mustJSON(resp)
+	payload := servekit.MustJSON(resp)
 	if !spans {
 		// Stored under the epoch the borrowed worker actually executed
 		// against (a swap may have landed between lookup and acquire), so a
 		// cached payload always matches its key's epoch.
-		s.store(s.storeKey(wk.epoch(), key), payload)
+		payload = s.store(s.storeKey(wk.epoch(), key), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }
@@ -1040,9 +1035,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < n; i++ {
 		resp.Codes[i] = uint64(codes[i])
 	}
-	payload := mustJSON(resp)
+	payload := servekit.MustJSON(resp)
 	if !spans {
-		s.store(s.storeKey(wk.epoch(), key), payload)
+		payload = s.store(s.storeKey(wk.epoch(), key), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }
@@ -1056,7 +1051,7 @@ func writeJSON(w http.ResponseWriter, payload []byte) {
 
 // handleRelations serves GET /relations.
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, mustJSON(s.rels))
+	writeJSON(w, servekit.MustJSON(s.rels))
 }
 
 // queueStats is the /stats admission block.
@@ -1122,8 +1117,8 @@ type statsResponse struct {
 	Panics         int64                  `json:"panics"`
 	EngineRecycles int64                  `json:"engine_recycles"`
 	Queue          queueStats             `json:"queue"`
-	Cache          *cacheStats            `json:"cache,omitempty"`
-	Latency        latencyStats           `json:"latency"`
+	Cache          *servekit.CacheStats   `json:"cache,omitempty"`
+	Latency        servekit.LatencyStats  `json:"latency"`
 	Algorithms     map[string]algSnapshot `json:"algorithms"`
 	Shards         []shardStat            `json:"shards,omitempty"`
 	Ingest         *ingestStatsBlock      `json:"ingest,omitempty"`
@@ -1151,11 +1146,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:     s.shardSnapshot(),
 	}
 	if s.cache != nil {
-		cs := s.cache.snapshot()
+		cs := s.cache.Snapshot()
 		resp.Cache = &cs
 	}
 	resp.Ingest = s.ingestSnapshot()
-	writeJSON(w, mustJSON(resp))
+	writeJSON(w, servekit.MustJSON(resp))
 }
 
 // handleHealthz serves GET /healthz — pure liveness: the process is up
@@ -1201,21 +1196,15 @@ func (s *Server) lookup(key string) ([]byte, bool) {
 	if s.cache == nil {
 		return nil, false
 	}
-	return s.cache.get(key)
+	return s.cache.Get(key)
 }
 
-// store populates the cache when enabled.
-func (s *Server) store(key string, payload []byte) {
-	if s.cache != nil {
-		s.cache.put(key, payload)
+// store populates the cache when enabled and returns the payload to
+// reply with: the cached one when a concurrent miss stored the key first,
+// so every reply for a key carries the same bytes.
+func (s *Server) store(key string, payload []byte) []byte {
+	if s.cache == nil {
+		return payload
 	}
-}
-
-// mustJSON marshals a response struct; the structs here cannot fail.
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
+	return s.cache.Put(key, payload)
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/pbitree/pbitree/internal/servekit"
 )
 
 func TestLatencySnapshotEmptyRing(t *testing.T) {
@@ -19,7 +21,7 @@ func TestLatencySnapshotEmptyRing(t *testing.T) {
 	if s.Samples != 0 || s.P50US != 0 || s.P95US != 0 || s.P99US != 0 || s.MaxUS != 0 {
 		t.Fatalf("empty ring snapshot = %+v, want all zero", s)
 	}
-	if got := percentile(nil, 0.99); got != 0 {
+	if got := servekit.Percentile(nil, 0.99); got != 0 {
 		t.Fatalf("percentile(nil) = %v, want 0", got)
 	}
 }
@@ -29,7 +31,7 @@ func TestObserveHistogram(t *testing.T) {
 	m.observe(50*time.Microsecond, "t1")  // ≤ 0.0001 → slot 0
 	m.observe(400*time.Microsecond, "t2") // ≤ 0.0005 → slot 2
 	m.observe(20*time.Second, "t3")       // beyond the last bound → +Inf slot
-	if m.hist[0] != 1 || m.hist[2] != 1 || m.hist[len(latBuckets)] != 1 {
+	if m.hist[0] != 1 || m.hist[2] != 1 || m.hist[len(servekit.LatBuckets)] != 1 {
 		t.Fatalf("bucket slots = %v", m.hist)
 	}
 	if m.histCount != 3 {
@@ -165,8 +167,8 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("+Inf bucket %v != count %v", inf, samples["pbiserve_request_latency_seconds_count"])
 	}
 	prev := -1.0
-	for _, b := range latBuckets {
-		series := fmt.Sprintf("pbiserve_request_latency_seconds_bucket{le=%q}", formatBound(b))
+	for _, b := range servekit.LatBuckets {
+		series := fmt.Sprintf("pbiserve_request_latency_seconds_bucket{le=%q}", servekit.FormatBound(b))
 		v, ok := samples[series]
 		if !ok {
 			t.Fatalf("missing bucket %s", series)

@@ -13,6 +13,7 @@ import (
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/servekit"
 	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/internal/trace"
 	"github.com/pbitree/pbitree/pbicode"
@@ -220,11 +221,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		merged.TraceID = traceID
 		merged.Spans = root
 	}
-	payload := mustJSON(merged)
+	payload := servekit.MustJSON(merged)
 	// Partial answers never enter the cache: stored payloads are always
 	// complete, so a later full request cannot be served an undercount.
 	if !spans && len(missing) == 0 {
-		rt.store(key, payload)
+		payload = rt.store(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)
 }
@@ -352,10 +353,10 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = traceID
 		resp.Spans = []*trace.WireSpan{root}
 	}
-	payload := mustJSON(resp)
+	payload := servekit.MustJSON(resp)
 	// Partial answers never enter the cache (see handleJoin).
 	if !spans && len(missing) == 0 {
-		rt.store(key, payload)
+		payload = rt.store(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)
 }
@@ -405,7 +406,7 @@ func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(out)) //nolint:errcheck // client gone; nothing to do
+	w.Write(servekit.MustJSON(out)) //nolint:errcheck // client gone; nothing to do
 }
 
 // handleHealthz serves GET /healthz — router process liveness only.
@@ -446,21 +447,15 @@ func (rt *Router) lookup(key string) ([]byte, bool) {
 	if rt.cache == nil {
 		return nil, false
 	}
-	return rt.cache.get(key)
+	return rt.cache.Get(key)
 }
 
-// store populates the cache when enabled.
-func (rt *Router) store(key string, payload []byte) {
-	if rt.cache != nil {
-		rt.cache.put(key, payload)
+// store populates the cache when enabled and returns the payload to
+// reply with: the cached one when a concurrent miss stored the key first,
+// so every reply for a key carries the same bytes.
+func (rt *Router) store(key string, payload []byte) []byte {
+	if rt.cache == nil {
+		return payload
 	}
-}
-
-// mustJSON marshals a response struct; the structs here cannot fail.
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
+	return rt.cache.Put(key, payload)
 }

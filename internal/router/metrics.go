@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/servekit"
 )
 
 // latRing is how many recent latencies each window retains. The router
@@ -17,14 +18,6 @@ import (
 // one for its own end-to-end request latency; a fixed ring keeps the cost
 // per sample O(1) and the estimate representative of current behavior.
 const latRing = 2048
-
-// latBuckets are the cumulative histogram bounds (seconds) /metrics
-// exports — the same grid the nodes use, so router and node latency
-// histograms overlay directly in dashboards.
-var latBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 // latWindow is a sliding latency sample plus an all-of-history histogram.
 // It does no locking of its own: every instance is guarded by its owner's
@@ -34,7 +27,7 @@ type latWindow struct {
 	n    int // samples in ring (≤ latRing)
 	next int // ring write position
 
-	hist  []int64 // len(latBuckets)+1, lazily allocated; last slot = +Inf
+	hist  []int64 // len(servekit.LatBuckets)+1, lazily allocated; last slot = +Inf
 	sum   time.Duration
 	count int64
 }
@@ -47,17 +40,9 @@ func (l *latWindow) observe(d time.Duration) {
 		l.n++
 	}
 	if l.hist == nil {
-		l.hist = make([]int64, len(latBuckets)+1)
+		l.hist = make([]int64, len(servekit.LatBuckets)+1)
 	}
-	sec := d.Seconds()
-	slot := len(latBuckets) // +Inf
-	for i, bound := range latBuckets {
-		if sec <= bound {
-			slot = i
-			break
-		}
-	}
-	l.hist[slot]++
+	l.hist[servekit.Bucket(d)]++
 	l.sum += d
 	l.count++
 }
@@ -72,30 +57,14 @@ func (l *latWindow) sorted() []time.Duration {
 
 // quantile estimates the q-quantile of the window (0 with no samples).
 func (l *latWindow) quantile(q float64) time.Duration {
-	return percentile(l.sorted(), q)
+	return servekit.Percentile(l.sorted(), q)
 }
 
 // histogram copies the cumulative-histogram state for the /metrics writer.
 func (l *latWindow) histogram() (buckets []int64, sum time.Duration, count int64) {
-	buckets = make([]int64, len(latBuckets)+1)
+	buckets = make([]int64, len(servekit.LatBuckets)+1)
 	copy(buckets, l.hist)
 	return buckets, l.sum, l.count
-}
-
-// percentile returns the p-quantile (0 < p ≤ 1) of a sorted sample using
-// the nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // metrics aggregates the router-level counters /stats and /metrics report.
@@ -136,28 +105,12 @@ func (m *metrics) observe(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// latencyStats is the /stats latency block (microseconds).
-type latencyStats struct {
-	Samples int   `json:"samples"`
-	P50US   int64 `json:"p50_us"`
-	P95US   int64 `json:"p95_us"`
-	P99US   int64 `json:"p99_us"`
-	MaxUS   int64 `json:"max_us"`
-}
-
 // latencySnapshot extracts the reported percentiles from the window.
-func (m *metrics) latencySnapshot() latencyStats {
+func (m *metrics) latencySnapshot() servekit.LatencyStats {
 	m.mu.Lock()
 	sample := m.lat.sorted()
 	m.mu.Unlock()
-	s := latencyStats{Samples: len(sample)}
-	if len(sample) > 0 {
-		s.P50US = percentile(sample, 0.50).Microseconds()
-		s.P95US = percentile(sample, 0.95).Microseconds()
-		s.P99US = percentile(sample, 0.99).Microseconds()
-		s.MaxUS = sample[len(sample)-1].Microseconds()
-	}
-	return s
+	return servekit.Latency(sample)
 }
 
 // nodeStat is one node's row in the /stats nodes block.
@@ -203,9 +156,9 @@ type statsResponse struct {
 	BreakerDenials    int64 `json:"breaker_denials"`
 	RetryBudgetDenied int64 `json:"retry_budget_denied"`
 
-	Cache   *cacheStats  `json:"cache,omitempty"`
-	Latency latencyStats `json:"latency"`
-	Nodes   []nodeStat   `json:"nodes"`
+	Cache   *servekit.CacheStats  `json:"cache,omitempty"`
+	Latency servekit.LatencyStats `json:"latency"`
+	Nodes   []nodeStat            `json:"nodes"`
 }
 
 // nodeStats snapshots every node's row in table order.
@@ -232,8 +185,8 @@ func (rt *Router) nodeStats() []nodeStat {
 		}
 		nd.mu.Unlock()
 		if len(sample) > 0 {
-			st.P50US = percentile(sample, 0.50).Microseconds()
-			st.P95US = percentile(sample, 0.95).Microseconds()
+			st.P50US = servekit.Percentile(sample, 0.50).Microseconds()
+			st.P95US = servekit.Percentile(sample, 0.95).Microseconds()
 		}
 		out = append(out, st)
 	}
@@ -268,11 +221,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		Nodes:   rt.nodeStats(),
 	}
 	if rt.cache != nil {
-		cs := rt.cache.snapshot()
+		cs := rt.cache.Snapshot()
 		resp.Cache = &cs
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(resp)) //nolint:errcheck // client gone; nothing to do
+	w.Write(servekit.MustJSON(resp)) //nolint:errcheck // client gone; nothing to do
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -284,104 +237,76 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.writeMetrics(w)
 }
 
-// family emits the HELP/TYPE preamble of one metric family.
-func family(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// writeHistogram renders one histogram family from copied window state.
-func writeHistogram(w io.Writer, name, labels string, buckets []int64, sum time.Duration, count int64) {
-	var cum int64
-	for i, bound := range latBuckets {
-		cum += buckets[i]
-		if labels == "" {
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(bound), cum)
-		} else {
-			fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, formatBound(bound), cum)
-		}
-	}
-	cum += buckets[len(latBuckets)]
-	if labels == "" {
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "%s_sum %g\n", name, sum.Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", name, count)
-	} else {
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, sum.Seconds())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, count)
-	}
-}
-
 // writeMetrics renders every family. Families are always present (HELP and
 // TYPE lines) even before any sample exists, so scrapers and smoke checks
 // see a stable schema.
 func (rt *Router) writeMetrics(w io.Writer) {
 	m := rt.met
 
-	family(w, "pbirouter_uptime_seconds", "Seconds since the router started.", "gauge")
+	servekit.Family(w, "pbirouter_uptime_seconds", "Seconds since the router started.", "gauge")
 	fmt.Fprintf(w, "pbirouter_uptime_seconds %g\n", time.Since(m.start).Seconds())
 	bi := qserv.BuildInfo()
-	family(w, "pbirouter_build_info", "Build identity (constant 1; the labels carry the values).", "gauge")
+	servekit.Family(w, "pbirouter_build_info", "Build identity (constant 1; the labels carry the values).", "gauge")
 	fmt.Fprintf(w, "pbirouter_build_info{version=%q,go_version=%q,revision=%q} 1\n",
 		bi.Version, bi.GoVersion, bi.Revision)
-	family(w, "pbirouter_shards", "Shard groups in the node table.", "gauge")
+	servekit.Family(w, "pbirouter_shards", "Shard groups in the node table.", "gauge")
 	fmt.Fprintf(w, "pbirouter_shards %d\n", len(rt.shards))
-	family(w, "pbirouter_epoch", "Node-table epoch (bumps on every health transition).", "gauge")
+	servekit.Family(w, "pbirouter_epoch", "Node-table epoch (bumps on every health transition).", "gauge")
 	fmt.Fprintf(w, "pbirouter_epoch %d\n", rt.epoch.Load())
 
-	family(w, "pbirouter_requests_total", "Completed router requests (cached or fanned out).", "counter")
+	servekit.Family(w, "pbirouter_requests_total", "Completed router requests (cached or fanned out).", "counter")
 	fmt.Fprintf(w, "pbirouter_requests_total %d\n", m.requests.Load())
-	family(w, "pbirouter_errors_total", "Requests answered with a non-2xx status.", "counter")
+	servekit.Family(w, "pbirouter_errors_total", "Requests answered with a non-2xx status.", "counter")
 	fmt.Fprintf(w, "pbirouter_errors_total %d\n", m.errors.Load())
-	family(w, "pbirouter_canceled_total", "Requests abandoned by the client before completion (499).", "counter")
+	servekit.Family(w, "pbirouter_canceled_total", "Requests abandoned by the client before completion (499).", "counter")
 	fmt.Fprintf(w, "pbirouter_canceled_total %d\n", m.canceled.Load())
-	family(w, "pbirouter_timeouts_total", "Requests aborted by deadline expiry (504).", "counter")
+	servekit.Family(w, "pbirouter_timeouts_total", "Requests aborted by deadline expiry (504).", "counter")
 	fmt.Fprintf(w, "pbirouter_timeouts_total %d\n", m.timeouts.Load())
-	family(w, "pbirouter_panics_total", "Panics recovered during request handling.", "counter")
+	servekit.Family(w, "pbirouter_panics_total", "Panics recovered during request handling.", "counter")
 	fmt.Fprintf(w, "pbirouter_panics_total %d\n", m.panics.Load())
 
-	family(w, "pbirouter_hedge_fires_total", "Hedge timers that fired a secondary replica request.", "counter")
+	servekit.Family(w, "pbirouter_hedge_fires_total", "Hedge timers that fired a secondary replica request.", "counter")
 	fmt.Fprintf(w, "pbirouter_hedge_fires_total %d\n", m.hedgeFires.Load())
-	family(w, "pbirouter_hedge_wins_total", "Shard answers won by the hedge request.", "counter")
+	servekit.Family(w, "pbirouter_hedge_wins_total", "Shard answers won by the hedge request.", "counter")
 	fmt.Fprintf(w, "pbirouter_hedge_wins_total %d\n", m.hedgeWins.Load())
-	family(w, "pbirouter_failovers_total", "Replica-to-replica retries after a retryable failure.", "counter")
+	servekit.Family(w, "pbirouter_failovers_total", "Replica-to-replica retries after a retryable failure.", "counter")
 	fmt.Fprintf(w, "pbirouter_failovers_total %d\n", m.failovers.Load())
-	family(w, "pbirouter_partial_responses_total", "Degraded 206 responses served with shards missing.", "counter")
+	servekit.Family(w, "pbirouter_partial_responses_total", "Degraded 206 responses served with shards missing.", "counter")
 	fmt.Fprintf(w, "pbirouter_partial_responses_total %d\n", m.partials.Load())
-	family(w, "pbirouter_breaker_denials_total", "Node launches skipped because the circuit breaker was open.", "counter")
+	servekit.Family(w, "pbirouter_breaker_denials_total", "Node launches skipped because the circuit breaker was open.", "counter")
 	fmt.Fprintf(w, "pbirouter_breaker_denials_total %d\n", m.breakerDenials.Load())
-	family(w, "pbirouter_retry_budget_denials_total", "Failover retries denied by the shared retry budget.", "counter")
+	servekit.Family(w, "pbirouter_retry_budget_denials_total", "Failover retries denied by the shared retry budget.", "counter")
 	fmt.Fprintf(w, "pbirouter_retry_budget_denials_total %d\n", m.budgetDenials.Load())
-	family(w, "pbirouter_node_demotions_total", "Healthy-to-unhealthy node transitions.", "counter")
+	servekit.Family(w, "pbirouter_node_demotions_total", "Healthy-to-unhealthy node transitions.", "counter")
 	fmt.Fprintf(w, "pbirouter_node_demotions_total %d\n", m.demotions.Load())
-	family(w, "pbirouter_node_promotions_total", "Unhealthy-to-healthy node transitions.", "counter")
+	servekit.Family(w, "pbirouter_node_promotions_total", "Unhealthy-to-healthy node transitions.", "counter")
 	fmt.Fprintf(w, "pbirouter_node_promotions_total %d\n", m.promotions.Load())
 
-	var cs cacheStats
+	var cs servekit.CacheStats
 	if rt.cache != nil {
-		cs = rt.cache.snapshot()
+		cs = rt.cache.Snapshot()
 	}
-	family(w, "pbirouter_cache_hits_total", "Merged-result cache hits.", "counter")
+	servekit.Family(w, "pbirouter_cache_hits_total", "Merged-result cache hits.", "counter")
 	fmt.Fprintf(w, "pbirouter_cache_hits_total %d\n", cs.Hits)
-	family(w, "pbirouter_cache_misses_total", "Merged-result cache misses.", "counter")
+	servekit.Family(w, "pbirouter_cache_misses_total", "Merged-result cache misses.", "counter")
 	fmt.Fprintf(w, "pbirouter_cache_misses_total %d\n", cs.Misses)
-	family(w, "pbirouter_cache_evicted_total", "Merged-result cache LRU evictions.", "counter")
+	servekit.Family(w, "pbirouter_cache_evicted_total", "Merged-result cache LRU evictions.", "counter")
 	fmt.Fprintf(w, "pbirouter_cache_evicted_total %d\n", cs.Evicted)
-	family(w, "pbirouter_cache_entries", "Merged-result cache resident entries.", "gauge")
+	servekit.Family(w, "pbirouter_cache_entries", "Merged-result cache resident entries.", "gauge")
 	fmt.Fprintf(w, "pbirouter_cache_entries %d\n", cs.Entries)
 
-	family(w, "pbirouter_telemetry_records_total", "Telemetry records written by the sidecar.", "counter")
+	servekit.Family(w, "pbirouter_telemetry_records_total", "Telemetry records written by the sidecar.", "counter")
 	fmt.Fprintf(w, "pbirouter_telemetry_records_total %d\n", rt.cfg.Telemetry.Written())
-	family(w, "pbirouter_telemetry_dropped_total", "Telemetry records dropped (queue full or sink stalled).", "counter")
+	servekit.Family(w, "pbirouter_telemetry_dropped_total", "Telemetry records dropped (queue full or sink stalled).", "counter")
 	fmt.Fprintf(w, "pbirouter_telemetry_dropped_total %d\n", rt.cfg.Telemetry.Dropped())
 
 	m.mu.Lock()
 	buckets, sum, count := m.lat.histogram()
 	m.mu.Unlock()
-	family(w, "pbirouter_request_latency_seconds", "End-to-end router request latency.", "histogram")
-	writeHistogram(w, "pbirouter_request_latency_seconds", "", buckets, sum, count)
+	servekit.Family(w, "pbirouter_request_latency_seconds", "End-to-end router request latency.", "histogram")
+	servekit.WriteHistogram(w, "pbirouter_request_latency_seconds", "", buckets, sum, count, servekit.NoSuffix)
 
-	family(w, "pbirouter_node_healthy", "Node health (1 healthy, 0 demoted).", "gauge")
+	servekit.Family(w, "pbirouter_node_healthy", "Node health (1 healthy, 0 demoted).", "gauge")
 	for _, nd := range rt.nodes {
 		v := 0
 		if nd.healthy.Load() {
@@ -389,27 +314,27 @@ func (rt *Router) writeMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "pbirouter_node_healthy{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, v)
 	}
-	family(w, "pbirouter_node_requests_total", "Proxied requests issued per node.", "counter")
+	servekit.Family(w, "pbirouter_node_requests_total", "Proxied requests issued per node.", "counter")
 	for _, nd := range rt.nodes {
 		fmt.Fprintf(w, "pbirouter_node_requests_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.requests.Load())
 	}
-	family(w, "pbirouter_node_failures_total", "Retryable node-call failures per node.", "counter")
+	servekit.Family(w, "pbirouter_node_failures_total", "Retryable node-call failures per node.", "counter")
 	for _, nd := range rt.nodes {
 		fmt.Fprintf(w, "pbirouter_node_failures_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.failures.Load())
 	}
-	family(w, "pbirouter_node_hedges_total", "Hedge (secondary) requests issued per node.", "counter")
+	servekit.Family(w, "pbirouter_node_hedges_total", "Hedge (secondary) requests issued per node.", "counter")
 	for _, nd := range rt.nodes {
 		fmt.Fprintf(w, "pbirouter_node_hedges_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.hedges.Load())
 	}
-	family(w, "pbirouter_node_probe_failures_total", "Failed health probes per node.", "counter")
+	servekit.Family(w, "pbirouter_node_probe_failures_total", "Failed health probes per node.", "counter")
 	for _, nd := range rt.nodes {
 		fmt.Fprintf(w, "pbirouter_node_probe_failures_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.probeFails.Load())
 	}
-	family(w, "pbirouter_node_upstream_cache_hits_total", "Node answers served from the node's own cache.", "counter")
+	servekit.Family(w, "pbirouter_node_upstream_cache_hits_total", "Node answers served from the node's own cache.", "counter")
 	for _, nd := range rt.nodes {
 		fmt.Fprintf(w, "pbirouter_node_upstream_cache_hits_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.upstreamHits.Load())
 	}
-	family(w, "pbirouter_node_breaker_state", "Circuit-breaker state per node (0 closed, 1 half-open, 2 open; absent when disabled).", "gauge")
+	servekit.Family(w, "pbirouter_node_breaker_state", "Circuit-breaker state per node (0 closed, 1 half-open, 2 open; absent when disabled).", "gauge")
 	for _, nd := range rt.nodes {
 		state, _ := nd.br.snapshot()
 		var v int
@@ -423,22 +348,17 @@ func (rt *Router) writeMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "pbirouter_node_breaker_state{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, v)
 	}
-	family(w, "pbirouter_node_breaker_opens_total", "Circuit-breaker open transitions per node.", "counter")
+	servekit.Family(w, "pbirouter_node_breaker_opens_total", "Circuit-breaker open transitions per node.", "counter")
 	for _, nd := range rt.nodes {
 		_, opens := nd.br.snapshot()
 		fmt.Fprintf(w, "pbirouter_node_breaker_opens_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, opens)
 	}
-	family(w, "pbirouter_node_latency_seconds", "Successful node-call latency per node.", "histogram")
+	servekit.Family(w, "pbirouter_node_latency_seconds", "Successful node-call latency per node.", "histogram")
 	for _, nd := range rt.nodes {
 		nd.mu.Lock()
 		nb, ns, nc := nd.lat.histogram()
 		nd.mu.Unlock()
 		labels := fmt.Sprintf("node=%q,shard=\"%d\"", nd.name(), nd.shard)
-		writeHistogram(w, "pbirouter_node_latency_seconds", labels, nb, ns, nc)
+		servekit.WriteHistogram(w, "pbirouter_node_latency_seconds", labels, nb, ns, nc, servekit.NoSuffix)
 	}
-}
-
-// formatBound renders a histogram bound the canonical Prometheus way.
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }

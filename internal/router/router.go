@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/servekit"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
@@ -231,8 +232,8 @@ type Router struct {
 	nodes   []*node   // flat view, probe/metrics order
 	rr      []atomic.Int64
 	client  *http.Client
-	cache   *resultCache // nil when disabled
-	budget  *tokenBucket // shared failover retry budget; nil when disabled
+	cache   *servekit.Cache // nil when disabled
+	budget  *tokenBucket    // shared failover retry budget; nil when disabled
 	met     *metrics
 	traces  *trace.Store // recent stitched traces for /debug/trace/{id}
 	mux     *http.ServeMux
@@ -272,7 +273,7 @@ func New(cfg Config) (*Router, error) {
 		rt.client = &http.Client{}
 	}
 	if cfg.CacheEntries > 0 {
-		rt.cache = newResultCache(cfg.CacheEntries)
+		rt.cache = servekit.NewCache(cfg.CacheEntries)
 	}
 	rt.budget = newTokenBucket(cfg.RetryBudget, cfg.RetryRefill, time.Now())
 	for si, replicas := range cfg.Topology {

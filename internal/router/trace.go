@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/pbitree/pbitree/internal/servekit"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
@@ -113,7 +114,7 @@ func (rt *Router) handleDebugTraceID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(rec)) //nolint:errcheck // client gone; nothing to do
+	w.Write(servekit.MustJSON(rec)) //nolint:errcheck // client gone; nothing to do
 }
 
 // telemetryHolder carries the execution half of one routed request's

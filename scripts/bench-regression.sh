@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Benchmark regression gate: re-run the batched-execution experiment at
-# the exact configuration of the committed baseline entry in
-# results/dev/bench/data.js and fail when any shared metric slowed by
-# more than 15% against it. The committed file is copied to a scratch
-# location first — CI never rewrites checked-in results — and pbibench
-# appends the fresh run there before `-check` compares the two newest
-# entries. Elapsed metrics are virtual disk time (deterministic page
-# counts × a fixed per-access cost) plus wall CPU, and sub-100ms metrics
-# are exempt from the gate (see internal/benchkit), so the check is
-# stable across hosts: the D1-D10 mix aggregates carry it.
+# Benchmark regression gate: re-run the page-format experiment at the
+# exact configuration of the committed baseline entry in
+# results/dev/bench/data.js and fail when any metric shared with the
+# newest committed entry slowed by more than 15%. `-exp batch` runs the
+# DBLP D1-D10 joins over fixed pages (rows `.../fixed`) and over the
+# default compressed pages (rows `.../batch`), both under the one set of
+# slab join kernels. The committed file is copied to a scratch location
+# first — CI never rewrites checked-in results — and pbibench appends
+# the fresh run there before `-check` compares the two newest entries.
+# Elapsed metrics are virtual disk time (deterministic page counts × a
+# fixed per-access cost) plus wall CPU, and sub-100ms metrics are exempt
+# from the gate (see internal/benchkit), so the check is stable across
+# hosts: the D1-D10 mix aggregates carry it.
 #
 # Skips gracefully (exit 0 with a notice) when no baseline file exists
 # yet, e.g. on a fresh fork. CI runs this via `make bench-regression`.
